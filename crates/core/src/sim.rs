@@ -11,6 +11,14 @@
 //! group* and are injected together in cell-id order; with stagger off (or
 //! a single cell) all cells collapse into one group and the loop is the
 //! classic single-clock loop, one global tick per slot.
+//!
+//! Each boundary runs the online phase (§4) as private stage methods, in
+//! order: `boundary_envelope` (colocation pressure, scenario envelope, and
+//! the predictor-bias and traffic-surge fault factors); then, per cell of
+//! the phase group, `draw_bytes` (traffic draw), `build_slot_dag` (DAG
+//! build), `predict_node_wcets` (node-WCET prediction) and `admit` (inject,
+//! or reject under admission control); and finally `feed_observations`
+//! (observed runtimes back to the guards and the models).
 
 use crate::config::{Colocation, PredictorChoice, SchedulerChoice, SimConfig};
 use crate::profile::{profile, train_bank, train_supervisor, ProfilingDataset};
@@ -27,7 +35,9 @@ use concordia_platform::workloads::{MixSchedule, WorkloadKind};
 use concordia_predictor::api::ModelBank;
 use concordia_ran::cell::CellInstance;
 use concordia_ran::cost::CostModel;
-use concordia_ran::dag::{build_dag_into, DagScratch, SlotWorkload};
+use concordia_ran::dag::{
+    build_dag_into, build_mac_dag, DagNode, DagScratch, SlotDag, SlotWorkload,
+};
 use concordia_ran::features::{extract, FeatureVec};
 use concordia_ran::numerology::SlotDirection;
 use concordia_ran::task::TaskKind;
@@ -75,7 +85,6 @@ pub struct Simulation {
     /// Slot DAGs / violations already attributed to closed windows.
     win_dags: u64,
     win_viols: u64,
-    slot: u64,
     /// Last guard inflation the trace saw (change-detected so the trace
     /// carries one counter sample per change, not one per slot).
     last_traced_inflation: f64,
@@ -127,6 +136,31 @@ fn admission_code(a: AdmissionLevel) -> u8 {
         AdmissionLevel::Shed => trace::ADMISSION_SHED,
         AdmissionLevel::Reject => trace::ADMISSION_REJECT,
     }
+}
+
+/// Groups the active cells by slot-boundary phase, ascending phase, each
+/// group in cell-id order.
+fn phase_groups(cells: &[CellInstance]) -> Vec<(Nanos, Vec<u32>)> {
+    let mut groups: Vec<(Nanos, Vec<u32>)> = Vec::new();
+    for cell in cells.iter().filter(|c| c.is_active()) {
+        match groups.iter_mut().find(|(p, _)| *p == cell.phase) {
+            Some((_, group)) => group.push(cell.id),
+            None => groups.push((cell.phase, vec![cell.id])),
+        }
+    }
+    groups.sort_by_key(|(p, _)| *p);
+    groups
+}
+
+/// Cell `id`'s traffic source, forked from the `root` seed stream.
+fn cell_traffic(cfg: &SimConfig, id: u32, root: &Rng) -> CellTraffic {
+    let traffic = TrafficConfig {
+        load: cfg.load,
+        // Peak provisioning drives near-peak volume into every slot (the
+        // Table 2/3 sizing criterion).
+        mean_at_full: if cfg.peak_provisioning { 0.95 } else { 0.5 },
+    };
+    CellTraffic::for_cell(cfg.cell, traffic, id, root)
 }
 
 fn make_scheduler(choice: SchedulerChoice) -> Box<dyn PoolScheduler> {
@@ -204,29 +238,9 @@ impl Simulation {
                 }
             })
             .collect();
-        let mut boundary_groups: Vec<(Nanos, Vec<u32>)> = Vec::new();
-        for cell in &cells {
-            match boundary_groups.iter_mut().find(|(p, _)| *p == cell.phase) {
-                Some((_, group)) => group.push(cell.id),
-                None => boundary_groups.push((cell.phase, vec![cell.id])),
-            }
-        }
-        boundary_groups.sort_by_key(|(p, _)| *p);
-
+        let boundary_groups = phase_groups(&cells);
         let traffic = (0..cfg.n_cells)
-            .map(|c| {
-                CellTraffic::for_cell(
-                    cfg.cell,
-                    TrafficConfig {
-                        load: cfg.load,
-                        // Peak provisioning drives near-peak volume into
-                        // every slot (the Table 2/3 sizing criterion).
-                        mean_at_full: if cfg.peak_provisioning { 0.95 } else { 0.5 },
-                    },
-                    c,
-                    &root,
-                )
-            })
+            .map(|c| cell_traffic(&cfg, c, &root))
             .collect();
 
         let (mix, static_pressure) = match cfg.colocation {
@@ -286,7 +300,6 @@ impl Simulation {
             shedding: false,
             win_dags: 0,
             win_viols: 0,
-            slot: 0,
             last_traced_inflation: 1.0,
             peak_guard_inflation: 1.0,
             last_traced_admission: AdmissionLevel::Normal,
@@ -336,10 +349,6 @@ impl Simulation {
             Some(sup) => sup.predict_us(kind.index(), x),
             None => self.bank.predict(kind, x).map(|p| p.as_micros_f64()),
         }
-    }
-
-    fn predict_wcet(&self, kind: TaskKind, x: &FeatureVec) -> Option<Nanos> {
-        self.predict_us(kind, x).map(Nanos::from_micros_f64)
     }
 
     /// The worst current guard inflation across cells — what the trace and
@@ -449,56 +458,12 @@ impl Simulation {
             // strictly at slot end, so membership is stable in here.
             let mut t_last = t0;
             for gi in 0..self.boundary_groups.len() {
-                let phase = self.boundary_groups[gi].0;
-                let t = t0 + phase;
+                let t = t0 + self.boundary_groups[gi].0;
                 t_last = t;
                 self.pool.run_until(t);
-                self.slot = slot;
-
-                // Colocation pressure follows the mix schedule — unless
-                // admission control is shedding, which overrides it.
-                if self.mix.is_some() && !self.shedding {
-                    let (c, k) = self.pressure_at(t);
-                    let (oc, ok) = self.pool.pressure();
-                    if (c - oc).abs() > 1e-9 || (k - ok).abs() > 1e-9 {
-                        self.pool.set_pressure(c, k);
-                    }
-                }
-
-                self.trace_workload_fault_edges(t);
-                self.inject_cells(t, slot, gi);
-
-                // Online adaptation (§4.2): feed observed runtimes back.
-                // Each cell's misprediction guard watches the error stream
-                // of its own DAGs — including any injected predictor bias —
-                // and arms its inflation after a run of underestimates.
-                let bias = 1.0
-                    + self
-                        .faults
-                        .severity_at(FaultKind::PredictorBias, t)
-                        .unwrap_or(0.0);
-                let drained = self.pool.drain_observations();
-                for obs in &drained {
-                    if let Some(pred) = self.predict_us(obs.kind, &obs.features) {
-                        if let Some(guard) = self.guards.get_mut(obs.cell as usize) {
-                            guard.observe(pred / bias, obs.runtime_us);
-                        }
-                    }
-                    match self.supervisor.as_mut() {
-                        // The supervisor records every observation: replay,
-                        // drift statistics, shadow scoring, and (when its
-                        // online feed is on) the serving model's adaptation.
-                        Some(sup) => sup.record(obs.kind.index(), &obs.features, obs.runtime_us),
-                        None if self.cfg.online_updates => {
-                            self.bank.observe(obs.kind, &obs.features, obs.runtime_us);
-                        }
-                        None => {}
-                    }
-                }
-                // Double-buffer: the drained vector becomes the pool's next
-                // observation buffer instead of a fresh allocation.
-                self.pool.recycle_observations(drained);
-
+                let (bias, surge) = self.boundary_envelope(t, slot);
+                self.inject_cells(t, slot, gi, bias, surge);
+                self.feed_observations(bias);
                 self.trace_guard_inflation();
             }
 
@@ -586,183 +551,236 @@ impl Simulation {
         }
     }
 
+    /// Envelope and fault factors, the first stage at every boundary `t`
+    /// of `slot`: moves the colocation pressure along the mix schedule
+    /// (unless admission control is shedding, which overrides it), traces
+    /// workload-fault edges, advances the scenario envelope, and returns the
+    /// boundary's `(bias, surge)` factors. A predictor-bias window divides
+    /// every prediction (a corrupted model systematically underestimates);
+    /// a traffic-surge window inflates every slot's volume beyond the
+    /// calibrated load.
+    fn boundary_envelope(&mut self, t: Nanos, slot: u64) -> (f64, f64) {
+        if self.mix.is_some() && !self.shedding {
+            let (c, k) = self.pressure_at(t);
+            let (oc, ok) = self.pool.pressure();
+            if (c - oc).abs() > 1e-9 || (k - ok).abs() > 1e-9 {
+                self.pool.set_pressure(c, k);
+            }
+        }
+        self.trace_workload_fault_edges(t);
+        // `begin_slot` is idempotent, which matters here: staggered phase
+        // groups re-enter the same slot several times, and every group
+        // must see the same burst gates and mMTC floors.
+        if let Some(env) = self.scenario.as_mut() {
+            env.begin_slot(slot);
+        }
+        let factor = |kind| 1.0 + self.faults.severity_at(kind, t).unwrap_or(0.0);
+        (
+            factor(FaultKind::PredictorBias),
+            factor(FaultKind::TrafficSurge),
+        )
+    }
+
     /// Injects the slot-`slot` DAGs of phase group `gi`'s cells (in
     /// cell-id order) at their shared boundary instant `t`. The group is
     /// addressed by index into the epoch-cached `boundary_groups` so the
     /// hot path never clones the membership table.
-    fn inject_cells(&mut self, t: Nanos, slot: u64, gi: usize) {
-        // Advance the scenario envelope once per slot. `begin_slot` is
-        // idempotent, which matters here: staggered phase groups re-enter
-        // the same slot several times, and every group must see the same
-        // burst gates and mMTC floors.
-        if let Some(env) = self.scenario.as_mut() {
-            env.begin_slot(slot);
-        }
+    fn inject_cells(&mut self, t: Nanos, slot: u64, gi: usize, bias: f64, surge: f64) {
         let granted = self.pool.granted_cores().max(1);
-        // Workload-level faults land here: a predictor-bias window divides
-        // every prediction (a corrupted model systematically
-        // underestimates), a traffic-surge window inflates every slot's
-        // volume beyond the calibrated load. Each cell's guard inflation
-        // pushes back against the bias once it has seen enough
-        // underestimates from that cell.
-        let bias = 1.0
-            + self
-                .faults
-                .severity_at(FaultKind::PredictorBias, t)
-                .unwrap_or(0.0);
-        let surge = 1.0
-            + self
-                .faults
-                .severity_at(FaultKind::TrafficSurge, t)
-                .unwrap_or(0.0);
-        // Reject-level admission control: stop admitting new slot DAGs.
-        // Traffic volumes are still drawn (the RNG streams stay aligned
-        // with an admitting run), but nothing reaches the pool; every
-        // refusal is counted as typed backpressure.
-        let rejecting = self
+        // Reject-level admission control counts its refusals here; `None`
+        // means the boundary admits.
+        let mut rejected = self
             .supervisor
             .as_ref()
-            .is_some_and(|s| s.admission() == AdmissionLevel::Reject);
-        let mut rejected = 0u64;
+            .is_some_and(|s| s.admission() == AdmissionLevel::Reject)
+            .then_some(0u64);
         for k in 0..self.boundary_groups[gi].1.len() {
             let cell_id = self.boundary_groups[gi].1[k];
-            let c = cell_id as usize;
-            let wcet_factor = self.guards[c].inflation() / bias;
-            // Per-slice deadline budgets (`sliced_deadlines`): the cell's
-            // slot DAGs are built from a value copy of the cell config
-            // with a scaled deadline, leaving the shared config — and the
-            // MAC DAG's one-slot budget — untouched. A `SetDeadline`
-            // reconfiguration step composes naturally: the scale applies
-            // to whatever the live deadline is.
-            let mut cell_cfg = self.cfg.cell;
-            if let Some(env) = self.scenario.as_ref() {
-                let ds = env.deadline_scale(cell_id);
-                if ds != 1.0 {
-                    cell_cfg.deadline = cell_cfg.deadline.scale(ds);
-                }
-            }
+            // Each cell's guard inflation pushes back against the bias
+            // once it has seen enough underestimates from that cell.
+            let wcet_factor = self.guards[cell_id as usize].inflation() / bias;
             // §7 extension: MAC scheduling for the *next* slot runs in the
             // pool, with a one-slot deadline.
             if self.cfg.mac_in_pool {
                 let n_ues = (self.cfg.cell.max_ues / 2).max(1);
-                let mac =
-                    concordia_ran::dag::build_mac_dag(&self.cfg.cell, cell_id, slot, t, n_ues);
-                if rejecting {
-                    rejected += 1;
-                } else {
-                    let node_wcet = mac
-                        .nodes
-                        .iter()
-                        .map(|n| {
-                            let mut params = n.task.params;
-                            params.pool_cores = granted;
-                            self.predict_wcet(n.task.kind, &extract(&params))
-                                .unwrap_or_else(|| {
-                                    self.cost
-                                        .expected_cost_on_pool(n.task.kind, &params)
-                                        .scale(1.5)
-                                })
-                                .scale(wcet_factor)
-                        })
-                        .collect();
-                    self.pool.inject_dag(ScheduledDag {
-                        dag: mac,
-                        node_wcet,
-                    });
-                }
+                let mac = build_mac_dag(&self.cfg.cell, cell_id, slot, t, n_ues);
+                self.admit(mac, Vec::new(), granted, wcet_factor, &mut rejected);
             }
-            let dirs = self.cfg.cell.duplex.directions(slot);
-            for &dir in dirs {
-                let bytes = match self.scenario.as_ref() {
-                    None => {
-                        match dir {
-                            SlotDirection::Uplink => self.traffic[c].next_ul_bytes(),
-                            SlotDirection::Downlink => self.traffic[c].next_dl_bytes(),
-                            // The special slot carries a reduced DL volume.
-                            SlotDirection::Special => self.traffic[c].next_dl_bytes() * 0.6,
-                        }
-                    }
-                    Some(env) => {
-                        // Replay scenarios source volumes from the frozen
-                        // trace and skip the generator entirely. Envelope
-                        // scenarios shape the generator's draw instead.
-                        let drawn = if env.is_replay() {
-                            0.0
-                        } else {
-                            match dir {
-                                SlotDirection::Uplink => self.traffic[c].next_ul_bytes(),
-                                SlotDirection::Downlink => self.traffic[c].next_dl_bytes(),
-                                SlotDirection::Special => self.traffic[c].next_dl_bytes() * 0.6,
-                            }
-                        };
-                        let uplink = dir == SlotDirection::Uplink;
-                        let peak = if uplink {
-                            self.cfg.cell.peak_ul_bytes_per_slot()
-                        } else {
-                            self.cfg.cell.peak_dl_bytes_per_slot()
-                        };
-                        let shaped = env.demand_bytes(cell_id, slot, uplink, drawn, peak);
-                        // The replay path never saw the generator's 0.6
-                        // special-slot reduction, so it applies its own.
-                        if env.is_replay() && dir == SlotDirection::Special {
-                            shaped * 0.6
-                        } else {
-                            shaped
-                        }
-                    }
-                } * surge;
-                // The whole injection recycles: the workload expands into a
-                // persistent scratch, and the DAG is rebuilt into the node
-                // buffer of a previously completed one (salvaged by the
-                // pool), so its `preds`/`succs`/WCET allocations survive
-                // from slot to slot. The persistent DAG scratch also pools
-                // spare nodes across DAGs.
-                self.traffic[c].workload_into(dir, bytes, &mut self.wl_scratch);
-                let (buf, mut node_wcet) = match self.pool.take_dag_buffer() {
-                    Some(s) => (s.dag.nodes, s.node_wcet),
-                    None => (Vec::new(), Vec::new()),
-                };
-                let dag = build_dag_into(
-                    &cell_cfg,
-                    cell_id,
-                    slot,
-                    t,
-                    &self.wl_scratch,
-                    buf,
-                    &mut self.dag_scratch,
-                );
-                if dag.is_empty() {
-                    continue;
+            for &dir in self.cfg.cell.duplex.directions(slot) {
+                let bytes = self.draw_bytes(cell_id, slot, dir, surge);
+                let (dag, node_wcet) = self.build_slot_dag(cell_id, slot, t, dir, bytes);
+                if !dag.is_empty() {
+                    self.admit(dag, node_wcet, granted, wcet_factor, &mut rejected);
                 }
-                if rejecting {
-                    rejected += 1;
-                    continue;
-                }
-                node_wcet.clear();
-                node_wcet.extend(dag.nodes.iter().map(|n| {
-                    let mut params = n.task.params;
-                    params.pool_cores = granted;
-                    self.predict_wcet(n.task.kind, &extract(&params))
-                        .unwrap_or_else(|| {
-                            self.cost
-                                .expected_cost_on_pool(n.task.kind, &params)
-                                .scale(1.5)
-                        })
-                        .scale(wcet_factor)
-                }));
-                self.pool.inject_dag(ScheduledDag { dag, node_wcet });
             }
         }
-        if rejected > 0 {
+        if let Some(n) = rejected.filter(|&n| n > 0) {
             if let Some(sup) = self.supervisor.as_mut() {
-                sup.note_rejected(rejected);
+                sup.note_rejected(n);
             }
             if self.pool.trace_enabled() {
                 self.pool.record_trace_event(TraceEvent::AdmissionReject {
-                    dags: rejected.min(u32::MAX as u64) as u32,
+                    dags: n.min(u32::MAX as u64) as u32,
                 });
             }
         }
+    }
+
+    /// Traffic draw: cell `cell_id`'s byte demand in direction `dir` of
+    /// `slot`, scaled by the boundary's traffic-surge factor.
+    fn draw_bytes(&mut self, cell_id: u32, slot: u64, dir: SlotDirection, surge: f64) -> f64 {
+        let c = cell_id as usize;
+        // Replay scenarios source volumes from the frozen trace and skip
+        // the generator entirely. Envelope scenarios shape the generator's
+        // draw instead.
+        let replay = self.scenario.as_ref().is_some_and(|env| env.is_replay());
+        let drawn = if replay {
+            0.0
+        } else {
+            match dir {
+                SlotDirection::Uplink => self.traffic[c].next_ul_bytes(),
+                SlotDirection::Downlink => self.traffic[c].next_dl_bytes(),
+                // The special slot carries a reduced DL volume.
+                SlotDirection::Special => self.traffic[c].next_dl_bytes() * 0.6,
+            }
+        };
+        let bytes = match self.scenario.as_ref() {
+            None => drawn,
+            Some(env) => {
+                let uplink = dir == SlotDirection::Uplink;
+                let peak = if uplink {
+                    self.cfg.cell.peak_ul_bytes_per_slot()
+                } else {
+                    self.cfg.cell.peak_dl_bytes_per_slot()
+                };
+                let shaped = env.demand_bytes(cell_id, slot, uplink, drawn, peak);
+                // The replay path never saw the generator's 0.6 special-slot
+                // reduction, so it applies its own.
+                if replay && dir == SlotDirection::Special {
+                    shaped * 0.6
+                } else {
+                    shaped
+                }
+            }
+        };
+        bytes * surge
+    }
+
+    /// DAG build: expands `bytes` into cell `cell_id`'s slot workload and
+    /// builds its DAG. The whole build recycles: the workload expands into
+    /// a persistent scratch, and the DAG is rebuilt into the node buffer of
+    /// a previously completed one (salvaged by the pool), so its
+    /// `preds`/`succs`/WCET allocations survive from slot to slot. The
+    /// persistent DAG scratch also pools spare nodes across DAGs. Returns
+    /// the DAG with the salvaged WCET buffer.
+    fn build_slot_dag(
+        &mut self,
+        cell_id: u32,
+        slot: u64,
+        t: Nanos,
+        dir: SlotDirection,
+        bytes: f64,
+    ) -> (SlotDag, Vec<Nanos>) {
+        // Per-slice deadline budgets (`sliced_deadlines`) scale a value
+        // copy's deadline, leaving the shared config — and the MAC DAG's
+        // one-slot budget — untouched. A `SetDeadline` reconfiguration
+        // step composes naturally: the scale applies to the live deadline.
+        let mut cell_cfg = self.cfg.cell;
+        if let Some(env) = self.scenario.as_ref() {
+            let ds = env.deadline_scale(cell_id);
+            if ds != 1.0 {
+                cell_cfg.deadline = cell_cfg.deadline.scale(ds);
+            }
+        }
+        self.traffic[cell_id as usize].workload_into(dir, bytes, &mut self.wl_scratch);
+        let (buf, node_wcet) = match self.pool.take_dag_buffer() {
+            Some(s) => (s.dag.nodes, s.node_wcet),
+            None => (Vec::new(), Vec::new()),
+        };
+        let dag = build_dag_into(
+            &cell_cfg,
+            cell_id,
+            slot,
+            t,
+            &self.wl_scratch,
+            buf,
+            &mut self.dag_scratch,
+        );
+        (dag, node_wcet)
+    }
+
+    /// Node-WCET prediction: refills `out` with one WCET per node, each
+    /// predicted at the pool's `granted` width (or, without a model, 1.5×
+    /// the expected cost) and scaled by `wcet_factor`.
+    fn predict_node_wcets(
+        &self,
+        nodes: &[DagNode],
+        granted: u32,
+        wcet_factor: f64,
+        out: &mut Vec<Nanos>,
+    ) {
+        out.clear();
+        out.extend(nodes.iter().map(|n| {
+            let mut params = n.task.params;
+            params.pool_cores = granted;
+            self.predict_us(n.task.kind, &extract(&params))
+                .map(Nanos::from_micros_f64)
+                .unwrap_or_else(|| {
+                    self.cost
+                        .expected_cost_on_pool(n.task.kind, &params)
+                        .scale(1.5)
+                })
+                .scale(wcet_factor)
+        }));
+    }
+
+    /// Admission: under Reject-level admission control (`rejected` is
+    /// `Some`) the DAG is dropped and counted as typed backpressure — the
+    /// traffic was still drawn, so the RNG streams stay aligned with an
+    /// admitting run. Otherwise its node WCETs are predicted into
+    /// `node_wcet` and it is injected into the pool.
+    fn admit(
+        &mut self,
+        dag: SlotDag,
+        mut node_wcet: Vec<Nanos>,
+        granted: u32,
+        wcet_factor: f64,
+        rejected: &mut Option<u64>,
+    ) {
+        if let Some(n) = rejected {
+            *n += 1;
+            return;
+        }
+        self.predict_node_wcets(&dag.nodes, granted, wcet_factor, &mut node_wcet);
+        self.pool.inject_dag(ScheduledDag { dag, node_wcet });
+    }
+
+    /// Observation feedback (§4.2): feeds the runtimes observed since the
+    /// last boundary back. Each cell's misprediction guard watches the
+    /// error stream of its own DAGs — including the boundary's predictor
+    /// `bias` — and arms its inflation after a run of underestimates.
+    fn feed_observations(&mut self, bias: f64) {
+        let drained = self.pool.drain_observations();
+        for obs in &drained {
+            if let Some(pred) = self.predict_us(obs.kind, &obs.features) {
+                if let Some(guard) = self.guards.get_mut(obs.cell as usize) {
+                    guard.observe(pred / bias, obs.runtime_us);
+                }
+            }
+            match self.supervisor.as_mut() {
+                // The supervisor records every observation: replay, drift
+                // statistics, shadow scoring, and (when its online feed is
+                // on) the serving model's adaptation.
+                Some(sup) => sup.record(obs.kind.index(), &obs.features, obs.runtime_us),
+                None if self.cfg.online_updates => {
+                    self.bank.observe(obs.kind, &obs.features, obs.runtime_us);
+                }
+                None => {}
+            }
+        }
+        // Double-buffer: the drained vector becomes the pool's next
+        // observation buffer instead of a fresh allocation.
+        self.pool.recycle_observations(drained);
     }
 
     // --- live-reconfiguration hooks (driven by `reconfig::ReconfigEngine`,
@@ -908,15 +926,7 @@ impl Simulation {
     /// Draining cells drop out (no new DAGs); everything else keeps the
     /// id-ordered injection the groups were built with.
     fn rebuild_boundary_groups(&mut self) {
-        let mut groups: Vec<(Nanos, Vec<u32>)> = Vec::new();
-        for cell in self.cells.iter().filter(|c| c.is_active()) {
-            match groups.iter_mut().find(|(p, _)| *p == cell.phase) {
-                Some((_, group)) => group.push(cell.id),
-                None => groups.push((cell.phase, vec![cell.id])),
-            }
-        }
-        groups.sort_by_key(|(p, _)| *p);
-        self.boundary_groups = groups;
+        self.boundary_groups = phase_groups(&self.cells);
         self.boundary_epoch += 1;
     }
 
@@ -953,20 +963,8 @@ impl Simulation {
         };
         self.cells.push(inst);
         self.guards.push(MispredictionGuard::default());
-        let root = Rng::new(self.cfg.seed);
-        self.traffic.push(CellTraffic::for_cell(
-            self.cfg.cell,
-            TrafficConfig {
-                load: self.cfg.load,
-                mean_at_full: if self.cfg.peak_provisioning {
-                    0.95
-                } else {
-                    0.5
-                },
-            },
-            id,
-            &root,
-        ));
+        self.traffic
+            .push(cell_traffic(&self.cfg, id, &Rng::new(self.cfg.seed)));
         if let Some(env) = self.scenario.as_mut() {
             env.ensure_cells(id + 1);
         }
