@@ -13,7 +13,7 @@ use concordia_core::experiments::find_min_cores;
 use concordia_core::{run_experiment, Colocation, SimConfig};
 use concordia_ran::accel::FpgaModel;
 use concordia_ran::cost::CostModel;
-use concordia_ran::dag::{build_downlink_dag, build_uplink_dag, SlotWorkload, UeAlloc};
+use concordia_ran::dag::{build_dag, SlotWorkload, UeAlloc};
 use concordia_ran::numerology::SlotDirection;
 use concordia_ran::{CellConfig, Nanos};
 use serde::Serialize;
@@ -73,10 +73,7 @@ fn main() {
     );
     for dir in [SlotDirection::Uplink, SlotDirection::Downlink] {
         let wl = peak_workload(&cell, dir);
-        let dag = match dir {
-            SlotDirection::Uplink => build_uplink_dag(&cell, 0, 0, Nanos::ZERO, &wl),
-            _ => build_downlink_dag(&cell, 0, 0, Nanos::ZERO, &wl),
-        };
+        let dag = build_dag(&cell, 0, 0, Nanos::ZERO, &wl);
         let mut cpu_us = 0.0;
         let mut fpga_us = 0.0;
         for node in &dag.nodes {

@@ -21,7 +21,7 @@ use concordia_predictor::qdt::QuantileDecisionTree;
 use concordia_predictor::tree::TreeConfig;
 use concordia_ran::cell::CellConfig;
 use concordia_ran::cost::CostModel;
-use concordia_ran::dag::{build_downlink_dag, build_uplink_dag, SlotWorkload, UeAlloc};
+use concordia_ran::dag::{build_dag, build_mac_dag, SlotDag, SlotWorkload, UeAlloc};
 use concordia_ran::features::{extract, handpicked};
 use concordia_ran::numerology::SlotDirection;
 use concordia_ran::task::TaskKind;
@@ -100,43 +100,31 @@ pub fn profile(
     let mut per_kind: Vec<Vec<TrainingSample>> =
         (0..TaskKind::ALL.len()).map(|_| Vec::new()).collect();
 
-    for slot in 0..slots {
-        for direction in [SlotDirection::Uplink, SlotDirection::Downlink] {
-            let wl = random_workload(cell, direction, &mut rng);
-            let dag = match direction {
-                SlotDirection::Uplink => build_uplink_dag(cell, 0, slot as u64, Nanos::ZERO, &wl),
-                _ => build_downlink_dag(cell, 0, slot as u64, Nanos::ZERO, &wl),
-            };
-            let pool_cores = rng.range_u64(1, max_cores.max(1) as u64) as u32;
-            for node in &dag.nodes {
-                let mut params = node.task.params;
-                params.pool_cores = pool_cores;
-                let runtime = cost.sample_runtime(node.task.kind, &params, 1.0, &mut rng);
-                per_kind[node.task.kind.index()].push(TrainingSample {
-                    x: extract(&params),
-                    runtime_us: runtime.as_micros_f64(),
-                });
-            }
-        }
-        // §7 extension: profile the MAC schedulers too, so the predictor
-        // bank covers them when `mac_in_pool` is enabled.
-        let mac = concordia_ran::dag::build_mac_dag(
-            cell,
-            0,
-            slot as u64,
-            Nanos::ZERO,
-            rng.range_u64(0, cell.max_ues as u64) as u32,
-        );
+    // Runs every task of `dag` in isolation at one randomized pool width.
+    let mut sample = |dag: &SlotDag, rng: &mut Rng| {
         let pool_cores = rng.range_u64(1, max_cores.max(1) as u64) as u32;
-        for node in &mac.nodes {
+        for node in &dag.nodes {
             let mut params = node.task.params;
             params.pool_cores = pool_cores;
-            let runtime = cost.sample_runtime(node.task.kind, &params, 1.0, &mut rng);
+            let runtime = cost.sample_runtime(node.task.kind, &params, 1.0, rng);
             per_kind[node.task.kind.index()].push(TrainingSample {
                 x: extract(&params),
                 runtime_us: runtime.as_micros_f64(),
             });
         }
+    };
+    for slot in 0..slots {
+        for direction in [SlotDirection::Uplink, SlotDirection::Downlink] {
+            let wl = random_workload(cell, direction, &mut rng);
+            sample(&build_dag(cell, 0, slot as u64, Nanos::ZERO, &wl), &mut rng);
+        }
+        // §7 extension: profile the MAC schedulers too, so the predictor
+        // bank covers them when `mac_in_pool` is enabled.
+        let n_ues = rng.range_u64(0, cell.max_ues as u64) as u32;
+        sample(
+            &build_mac_dag(cell, 0, slot as u64, Nanos::ZERO, n_ues),
+            &mut rng,
+        );
     }
     ProfilingDataset { per_kind }
 }
@@ -354,7 +342,7 @@ mod tests {
         let mut misses = 0u64;
         for _ in 0..300 {
             let wl = random_workload(&cell, SlotDirection::Uplink, &mut rng);
-            let dag = build_uplink_dag(&cell, 0, 0, Nanos::ZERO, &wl);
+            let dag = build_dag(&cell, 0, 0, Nanos::ZERO, &wl);
             for node in &dag.nodes {
                 let mut params = node.task.params;
                 params.pool_cores = 4;

@@ -1535,7 +1535,7 @@ mod tests {
     use super::*;
     use crate::sched_api::DedicatedScheduler;
     use concordia_ran::cell::CellConfig;
-    use concordia_ran::dag::{build_uplink_dag, SlotWorkload, UeAlloc};
+    use concordia_ran::dag::{build_dag, SlotWorkload, UeAlloc};
     use concordia_ran::numerology::SlotDirection;
 
     fn test_dag(arrival: Nanos, ue_bytes: u32, n_ues: usize) -> ScheduledDag {
@@ -1552,7 +1552,7 @@ mod tests {
                 })
                 .collect(),
         };
-        let dag = build_uplink_dag(&cell, 0, 0, arrival, &wl);
+        let dag = build_dag(&cell, 0, 0, arrival, &wl);
         let cost = CostModel::new();
         let node_wcet = dag
             .nodes

@@ -138,22 +138,12 @@ impl CellTraffic {
         (shape * calib * load * peak).min(peak)
     }
 
-    /// Expands a byte demand into the slot's scheduled UE allocations:
+    /// Expands a byte demand into the slot's scheduled UE allocations —
     /// random UE count, per-UE link adaptation (SNR → MCS), layers and PRBs,
-    /// capped by the cell's PRB budget.
-    pub fn workload_for(&mut self, direction: SlotDirection, bytes: f64) -> SlotWorkload {
-        let mut wl = SlotWorkload {
-            direction,
-            ues: Vec::new(),
-        };
-        self.workload_into(direction, bytes, &mut wl);
-        wl
-    }
-
-    /// [`CellTraffic::workload_for`] into a reusable `out` — same draws in
-    /// the same order, so a run that threads one `SlotWorkload` through
-    /// every slot is byte-identical to one that allocates each time; only
-    /// the `ues` buffer (and the internal weight scratch) stop churning.
+    /// capped by the cell's PRB budget — overwriting a reusable `out`. The
+    /// draws depend only on `bytes` and the stream, never on `out`'s old
+    /// contents, so threading one `SlotWorkload` through every slot keeps
+    /// the `ues` buffer (and the internal weight scratch) from churning.
     pub fn workload_into(&mut self, direction: SlotDirection, bytes: f64, out: &mut SlotWorkload) {
         out.direction = direction;
         out.ues.clear();
@@ -300,9 +290,13 @@ mod tests {
     #[test]
     fn workload_respects_prb_budget_and_byte_totals() {
         let mut s = source(1.0);
+        let mut wl = SlotWorkload {
+            direction: SlotDirection::Uplink,
+            ues: Vec::new(),
+        };
         for _ in 0..2_000 {
             let bytes = s.next_ul_bytes();
-            let wl = s.workload_for(SlotDirection::Uplink, bytes);
+            s.workload_into(SlotDirection::Uplink, bytes, &mut wl);
             let prbs: u32 = wl.ues.iter().map(|u| u.prbs).sum();
             assert!(prbs <= s.cell.prbs, "prbs {prbs}");
             let total: u32 = wl.ues.iter().map(|u| u.tb_bytes).sum();
@@ -318,7 +312,16 @@ mod tests {
     #[test]
     fn zero_demand_gives_empty_workload() {
         let mut s = source(0.5);
-        let wl = s.workload_for(SlotDirection::Uplink, 0.0);
+        let mut wl = SlotWorkload {
+            direction: SlotDirection::Uplink,
+            ues: Vec::new(),
+        };
+        // A reused buffer still holding an earlier slot's UEs comes back
+        // empty.
+        let peak = s.cell.peak_ul_bytes_per_slot();
+        s.workload_into(SlotDirection::Uplink, peak, &mut wl);
+        assert!(!wl.ues.is_empty());
+        s.workload_into(SlotDirection::Uplink, 0.0, &mut wl);
         assert!(wl.ues.is_empty());
     }
 
@@ -326,14 +329,21 @@ mod tests {
     fn ue_count_grows_with_demand() {
         let mut s = source(1.0);
         let peak = s.cell.peak_ul_bytes_per_slot();
-        let small: f64 = (0..500)
-            .map(|_| s.workload_for(SlotDirection::Uplink, peak * 0.05).ues.len() as f64)
-            .sum::<f64>()
-            / 500.0;
-        let large: f64 = (0..500)
-            .map(|_| s.workload_for(SlotDirection::Uplink, peak * 0.9).ues.len() as f64)
-            .sum::<f64>()
-            / 500.0;
+        let mut wl = SlotWorkload {
+            direction: SlotDirection::Uplink,
+            ues: Vec::new(),
+        };
+        let mut mean_ues = |bytes: f64| {
+            (0..500)
+                .map(|_| {
+                    s.workload_into(SlotDirection::Uplink, bytes, &mut wl);
+                    wl.ues.len() as f64
+                })
+                .sum::<f64>()
+                / 500.0
+        };
+        let small = mean_ues(peak * 0.05);
+        let large = mean_ues(peak * 0.9);
         assert!(large > small + 2.0, "small {small} large {large}");
     }
 
