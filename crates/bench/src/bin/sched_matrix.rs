@@ -30,7 +30,9 @@
 //! Example:
 //! `cargo run -p concordia-bench --release --bin sched_matrix -- --quick --check`
 
-use concordia_bench::{banner, bool_flag, f64_flag, jobs_from_args, write_json, RunLength};
+use concordia_bench::{
+    banner, bool_flag, f64_flag, flag_with, jobs_from_args, write_json, RunLength,
+};
 use concordia_core::runner::run_parallel;
 use concordia_core::{SimConfig, Simulation};
 use concordia_platform::arch::PoolArchChoice;
@@ -88,18 +90,8 @@ fn main() {
     let jobs = jobs_from_args();
     let check = bool_flag("--check");
     let load = f64_flag("--load", 1.0).clamp(0.0, 1.0);
-    let arches: Vec<PoolArchChoice> = match std::env::args()
-        .skip_while(|a| a != "--pool")
-        .nth(1)
-        .as_deref()
-    {
-        Some(name) => match PoolArchChoice::from_name(name) {
-            Some(a) => vec![a],
-            None => {
-                eprintln!("unknown pool architecture '{name}'");
-                std::process::exit(2);
-            }
-        },
+    let arches: Vec<PoolArchChoice> = match flag_with("--pool", PoolArchChoice::from_name) {
+        Some(a) => vec![a],
         None => PoolArchChoice::ALL.to_vec(),
     };
     banner(
